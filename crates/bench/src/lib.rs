@@ -143,15 +143,29 @@ impl Args {
         self.raw.iter().any(|a| a == &format!("--{name}"))
     }
 
-    /// The value after `--name`, parsed, or `default`.
+    /// The value after `--name`, parsed, or `default` when the flag is
+    /// absent. A flag with no value, or with a value that does not parse,
+    /// is a usage error: the process exits with status 2 and a message
+    /// naming the flag and the value, instead of running on the default.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.try_get(name, default).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Args::get`] with the usage error returned instead of exiting.
+    fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         let key = format!("--{name}");
-        self.raw
-            .iter()
-            .position(|a| a == &key)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(i) = self.raw.iter().position(|a| a == &key) else {
+            return Ok(default);
+        };
+        match self.raw.get(i + 1) {
+            Some(v) if !v.starts_with("--") => v
+                .parse()
+                .map_err(|_| format!("{key}: cannot parse value `{v}`")),
+            _ => Err(format!("{key} needs a value")),
+        }
     }
 }
 
@@ -626,6 +640,36 @@ pub fn write_results(name: &str, doc: &Json) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(raw: &[&str]) -> Args {
+        Args {
+            raw: raw.iter().map(|s| s.to_string()).collect(),
+        }
+    }
+
+    #[test]
+    fn args_get_parses_or_defaults() {
+        let a = args(&["--port", "0", "--smoke", "--policy", "spp"]);
+        assert_eq!(a.try_get("port", 7877u16), Ok(0));
+        assert_eq!(a.try_get("shards", 1usize), Ok(1), "absent flag");
+        assert_eq!(a.try_get("policy", String::new()), Ok("spp".into()));
+        assert!(a.flag("smoke"));
+    }
+
+    #[test]
+    fn args_get_rejects_unparsable_and_missing_values() {
+        let a = args(&["--port", "0", "--shards", "two"]);
+        let err = a.try_get("shards", 1usize).unwrap_err();
+        assert!(err.contains("--shards") && err.contains("`two`"), "{err}");
+
+        let a = args(&["--smoke", "--ops"]);
+        let err = a.try_get("ops", 500u64).unwrap_err();
+        assert!(err.contains("--ops needs a value"), "{err}");
+
+        // A following flag is not a value.
+        let a = args(&["--ops", "--smoke"]);
+        assert!(a.try_get("ops", 500u64).is_err());
+    }
 
     fn row(v: f64) -> Json {
         Json::Obj(vec![("x", Json::Num(v)), ("n", Json::Int(3))])

@@ -3,20 +3,12 @@
 //! instrumented C does).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot_stub::Mutex;
+use std::sync::{Arc, Mutex};
 
 use spp_core::{MemoryPolicy, Result};
 
 use crate::data::{gen_bytes, gen_pairs, gen_points, gen_words};
 use crate::PhoenixConfig;
-
-// Tiny shim so this crate needs no extra dependency: std Mutex suffices for
-// the low-contention result merging the kernels do.
-mod parking_lot_stub {
-    pub use std::sync::Mutex;
-}
 
 /// Split `[0, n)` into `threads` contiguous ranges.
 fn ranges(n: u64, threads: usize) -> Vec<(u64, u64)> {

@@ -20,7 +20,7 @@ pub enum ClientError {
     Wire(WireError),
     /// The server answered `ERR` with this message.
     Remote(String),
-    /// The server answered `BUSY` (queue or connection limit saturated).
+    /// The server answered `BUSY` (connection limit reached).
     Busy,
     /// The server answered with a response that does not fit the request
     /// (e.g. `PONG` to a `PUT`).

@@ -3,15 +3,14 @@
 //!
 //! This crate turns the [`spp_kvstore`] cmap-analogue into something a
 //! `memcached`-style deployment would actually run: a compact
-//! length-prefixed [wire protocol](wire), a TCP [server] with two
-//! selectable front ends (blocking thread-per-connection, or sharded
-//! epoll reactors via `--io-mode epoll` so idle connections stop costing
-//! threads), a bounded worker pool with explicit backpressure, a
-//! closed-loop [client], and (as binaries) the `spp-server` daemon plus
-//! the `spp-loadgen` load generator. The served store is selected per
-//! process with `--policy pmdk|spp|safepm`, so the three policies are
-//! compared end-to-end — syscalls, framing, and fences included — rather
-//! than in a tight loop.
+//! length-prefixed [wire protocol](wire), a TCP [server] whose front end
+//! is a set of sharded epoll reactors (so idle connections cost a slab
+//! entry, not a thread), a bounded worker pool with readiness
+//! backpressure, a closed-loop [client], and (as binaries) the
+//! `spp-server` daemon plus the `spp-loadgen` load generator. The served
+//! store is selected per process with `--policy pmdk|spp|safepm`, so the
+//! three policies are compared end-to-end — syscalls, framing, and fences
+//! included — rather than in a tight loop.
 //!
 //! The headline property is **acked-write durability**: a `PUT` is acked
 //! only after the engine's transactional commit has flushed and fenced the

@@ -1,6 +1,6 @@
-//! The epoll front end: sharded reactor threads driving many connections
-//! each, so mostly-idle connections cost a slab entry instead of an OS
-//! thread.
+//! The server's front end: sharded epoll reactor threads driving many
+//! connections each, so mostly-idle connections cost a slab entry instead
+//! of an OS thread.
 //!
 //! Ownership model — everything single-writer:
 //!
@@ -10,18 +10,17 @@
 //! * reactor 0 additionally owns the nonblocking listener. Accepted
 //!   sockets are dealt round-robin: locally registered, or pushed onto the
 //!   target reactor's `inbox` followed by an [`EventFd`] wakeup;
-//! * workers never touch sockets. A run's job executes through the same
-//!   `execute_ops` → [`crate::group::GroupCommitter`] path as the blocking
-//!   front end and then pushes `(token, replies)` onto the owning
-//!   reactor's `completions` queue and rings its eventfd — the reactor
-//!   patches the reply slots and writes back in request order.
+//! * workers never touch sockets. A run's job executes through the
+//!   `execute_ops` → [`crate::group::GroupCommitter`] path and then
+//!   pushes `(token, replies)` onto the owning reactor's `completions`
+//!   queue and rings its eventfd — the reactor patches the reply slots
+//!   and writes back in request order.
 //!
-//! Because runs are decoded by the shared [`decode_run`] and executed by
-//! the shared `execute_ops`, the Raad-et-al-style ordering rules (writes
-//! batch up to a shared flush+fence boundary; reads and `MULTI` bodies are
-//! batch barriers; acks only after the boundary) are *identical* across
-//! front ends — the crash-restart and group-commit atomicity proofs run
-//! against both.
+//! Runs are decoded by [`decode_run`] and executed by `execute_ops`, which
+//! enforce the Raad-et-al-style ordering rules (writes batch up to a
+//! shared flush+fence boundary; reads and `MULTI` bodies are batch
+//! barriers; acks only after the boundary); the crash-restart and
+//! group-commit atomicity proofs drive them through this reactor.
 //!
 //! Backpressure is by readiness interest, not by refusal: a saturated
 //! worker queue parks the decoded run (keeping the built job) and drops
@@ -303,7 +302,7 @@ impl Reactor {
                 }
                 if run.execs.is_empty() {
                     // Inline-only run (PONGs, body errors) — answer without
-                    // a worker round trip, exactly like the blocking path.
+                    // a worker round trip.
                     for reply in &run.replies {
                         encode_owned(
                             &mut conn.wbuf,
