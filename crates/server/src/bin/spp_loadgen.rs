@@ -1,55 +1,46 @@
-//! `spp-loadgen`: a `db_bench`-style closed-loop load generator for
-//! `spp-server`.
+//! `spp-loadgen`: a `db_bench`-style load generator for `spp-server`.
 //!
 //! ```text
 //! spp-loadgen [--addr HOST:PORT] [--policy pmdk|spp|safepm]
 //!             [--conns 4] [--ops 20000] [--value-size 100] [--read-pct 50]
 //!             [--pool-mb 64] [--workers 4] [--nbuckets 4096]
+//!             [--max-conns 64] [--queue-depth 128] [--reactors 2]
 //!             [--smoke] [--shutdown] [--inject-garbage]
 //!             [--sweep-threads 1,2,4,8] [--flush-wait-ns 15000]
 //!             [--pipeline 8] [--throttle-us 0]
-//!             [--reactors 2] [--idle-conns 2000]
+//!             [--idle-conns 2000]
 //!             [--addrs HOST:PORT,HOST:PORT,...] [--local-shards N]
 //! ```
 //!
-//! `--addrs a,b,c` switches to multi-endpoint mode (see [`run_multi`]):
-//! the loadgen builds the same consistent-hash [`Ring`] the server crate
-//! uses — from nothing but the endpoint count — and routes every key to
-//! its owning endpoint, exactly as a smart client fronts a sharded
-//! deployment. The report breaks throughput down per shard and records
-//! the skew (max/mean ops); `--local-shards N` spawns N in-process
-//! single-shard servers instead, for the self-contained CI smoke.
+//! Every mode is built on one driver, [`run_phase`]: one thread per
+//! connection, each running `--ops` operations (`--read-pct`% GETs over
+//! keys it already wrote, the rest durable PUTs) routed by a client-side
+//! [`Ring`] over the endpoints. Depth 1 is closed-loop round trips; deeper
+//! batches alternate `MULTI` and raw pipelined frames. Values are stamped
+//! with their key and every GET reply is checked byte-for-byte. `BUSY` is
+//! the server's connection-limit answer before it hangs up, so it fails
+//! the run. The modes wrap that driver:
 //!
-//! `--reactors` sets the in-process server's reactor count for any mode.
-//! `--idle-conns N` switches to idle-scaling mode (see [`run_idle`]): N
-//! open-but-quiet connections are parked on the server while a small hot
-//! core drives pipelined load; the run reports process thread count and
-//! RSS with the idle fleet attached, and self-validates that threads
-//! stayed O(reactors + workers), not O(connections).
+//! - default: a round-trip phase, then the server's `STATS`;
+//! - `--pipeline N`: a round-trip then a depth-`N` phase, with a speedup
+//!   floor (2.0x full, 1.5x smoke) that `--throttle-us` deliberately skips
+//!   so the perf gate's self-test can see a degraded run;
+//! - `--addrs a,b,c` / `--local-shards N`: per-shard rows and the ops skew
+//!   (max/mean); a shard that saw no traffic fails the run;
+//! - `--sweep-threads 1,2,4,8`: a fresh device-wait server per connection
+//!   count, reporting the throughput knee and a contention dump;
+//! - `--idle-conns N`: N parked connections under a pipelined hot core;
+//!   fails if process threads exceed `reactors + workers + hot + 8`.
 //!
-//! `--sweep-threads` switches to thread-sweep mode: one fresh in-process
-//! server per connection count on device-wait media, reporting ops/s per
-//! point and the throughput knee (see [`run_sweep`]).
-//!
-//! `--pipeline N` switches to pipeline-comparison mode (see
-//! [`run_pipeline`]): a closed-loop round-trip phase, then a phase where
-//! each connection ships batches of `N` operations — alternating `MULTI`
-//! frames (one atomic group-committed batch) and raw pipelined frames —
-//! and the report records round-trip vs pipelined throughput plus their
-//! ratio. The run self-validates that ratio against a floor unless
-//! `--throttle-us` deliberately slows the pipelined phase (the hook CI's
-//! perf-gate self-test uses to prove the gate is not blind).
-//!
-//! Without `--addr`, an in-process server (ephemeral port, `--policy`) is
-//! spawned and measured — the one-command mode CI and `EXPERIMENTS.md`
-//! use. Each connection runs a closed loop of `--ops` operations
-//! (`--read-pct`% GETs over previously-written keys, the rest durable
-//! PUTs), retrying on `BUSY`. The run reports throughput and p50/p95/p99
-//! latency per operation class, writes `results/server_loadgen.json`, and
-//! self-validates the rows through `spp-bench`'s `validate_rows` — empty
-//! or non-finite results exit nonzero (`--inject-garbage` deliberately
-//! poisons a row so CI can prove that path stays red).
+//! Without `--addr`/`--addrs` the servers are spawned in-process (sweep and
+//! idle runs always are). Two mode selectors, a flag the mode ignores, or
+//! a bad list entry is a usage error (exit 2). Every run validates its rows
+//! through `spp-bench`'s `validate_rows` (`--inject-garbage` poisons one so
+//! CI can prove that stays red) and writes `results/server_loadgen.json`
+//! (`server_loadgen_idle.json` for idle runs).
 
+use std::net::SocketAddr;
+use std::ops::Range;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,9 +87,7 @@ fn bucket_rep(idx: usize) -> u64 {
 
 /// Nanosecond latency distribution for one operation class: a fixed-footprint
 /// log-linear histogram. Each connection thread fills its own and the driver
-/// merges them bucket-wise — O(1) per sample, O(`HIST_BUCKETS`) per merge —
-/// replacing the per-operation `Vec<u64>` that previously grew (and
-/// reallocated) once per request for the whole run.
+/// merges them bucket-wise — O(1) per sample, O(`HIST_BUCKETS`) per merge.
 struct Lats {
     count: u64,
     buckets: Box<[u64]>,
@@ -142,10 +131,172 @@ impl Lats {
     }
 }
 
-struct ConnResult {
-    puts: Lats,
-    gets: Lats,
-    busy_retries: u64,
+/// Exit 2 with a usage message, the way [`Args::get`] rejects a bad value.
+fn usage(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// The run mode, chosen by at most one selector flag.
+enum Mode {
+    RoundTrip,
+    Pipeline(usize),
+    Multi,
+    Sweep(Vec<u32>),
+    Idle { conns: u32, depth: usize },
+}
+
+impl Mode {
+    fn parse(args: &Args) -> Mode {
+        let idle = args.flag("idle-conns");
+        // Inside idle mode `--pipeline` is the hot core's depth.
+        let given: Vec<&str> = [
+            "sweep-threads",
+            "idle-conns",
+            "pipeline",
+            "addrs",
+            "local-shards",
+        ]
+        .into_iter()
+        .filter(|s| args.flag(s) && !(idle && *s == "pipeline"))
+        .collect();
+        if let [a, b, ..] = given[..] {
+            usage(format!("--{a} and --{b} select different modes"));
+        }
+        let selector = given.first().copied();
+        // Flags the chosen mode would ignore. Sweep and idle runs always
+        // spawn their own server.
+        let ignored: &[&str] = match selector {
+            Some("sweep-threads" | "idle-conns") => &["addr", "addrs", "shutdown", "throttle-us"],
+            Some("addrs" | "local-shards") => &["addr", "throttle-us"],
+            Some(_) => &[],
+            None => &["throttle-us"],
+        };
+        if let Some(flag) = ignored.iter().find(|f| args.flag(f)) {
+            let mode = selector.map_or("the default mode".to_string(), |s| format!("--{s}"));
+            usage(format!("--{flag} does not apply to {mode}"));
+        }
+        match selector {
+            Some("sweep-threads") => {
+                let counts = list(args, "sweep-threads", |&c: &u32| c > 0);
+                if counts.len() < 2 {
+                    usage("--sweep-threads needs at least 2 connection counts".into());
+                }
+                Mode::Sweep(counts)
+            }
+            Some("idle-conns") => Mode::Idle {
+                conns: at_least_one(args, "idle-conns", 1),
+                depth: at_least_one(args, "pipeline", 8) as usize,
+            },
+            Some("pipeline") => Mode::Pipeline(at_least_one(args, "pipeline", 1) as usize),
+            Some(_) => Mode::Multi,
+            None => Mode::RoundTrip,
+        }
+    }
+}
+
+/// A comma-separated flag value; an entry that does not parse or fails
+/// `ok` is a usage error.
+fn list<T: std::str::FromStr>(args: &Args, name: &str, ok: impl Fn(&T) -> bool) -> Vec<T> {
+    let csv: String = args.get(name, String::new());
+    csv.split(',')
+        .map(|t| match t.trim().parse::<T>() {
+            Ok(v) if ok(&v) => v,
+            _ => usage(format!("--{name}: bad entry `{t}` in `{csv}`")),
+        })
+        .collect()
+}
+
+fn at_least_one(args: &Args, name: &str, default: u32) -> u32 {
+    match args.get(name, default) {
+        0 => usage(format!("--{name} must be at least 1")),
+        n => n,
+    }
+}
+
+/// The flags every mode shares, parsed once with the mode's defaults.
+struct Load {
+    smoke: bool,
+    policy: PolicyKind,
+    conns: u32,
+    ops: u64,
+    value_size: usize,
+    read_pct: u32,
+    /// Sleep after every pipelined batch (`--pipeline` only).
+    throttle: Duration,
+    /// External endpoints (`--addr` / `--addrs`); empty = spawn in-process.
+    addrs: Vec<SocketAddr>,
+    /// In-process servers to spawn when `addrs` is empty.
+    local_shards: u32,
+    shutdown: bool,
+    inject_garbage: bool,
+    pool_mb: u64,
+    nbuckets: u64,
+    /// Device-wait flush latency for in-process pools (sweep only).
+    flush_wait_ns: Option<u32>,
+    server: ServerConfig,
+}
+
+impl Load {
+    /// Print the run banner: the mode, its own settings, the load shape.
+    fn banner(&self, mode: &str, settings: String) {
+        banner(&format!(
+            "spp-loadgen {mode}: policy={} {settings} ops/conn={} value={}B reads={}%",
+            self.policy.label(),
+            self.ops,
+            self.value_size,
+            self.read_pct
+        ));
+    }
+
+    fn parse(args: &Args, mode: &Mode) -> Load {
+        let smoke = args.flag("smoke");
+        let sweep = matches!(mode, Mode::Sweep(_));
+        let (policy, ops_smoke, ops_full) = match mode {
+            Mode::Sweep(_) => (PolicyKind::Pmdk, 300, 4_000),
+            Mode::Idle { .. } => (PolicyKind::Spp, 400, 4_000),
+            _ => (PolicyKind::Spp, 500, 20_000),
+        };
+        // The idle hot core is 2 connections at any size.
+        let idle = matches!(mode, Mode::Idle { .. });
+        let conns = args.get("conns", if smoke || idle { 2 } else { 4 });
+        let mut addrs = Vec::new();
+        if args.flag("addrs") {
+            addrs = list(args, "addrs", |a: &SocketAddr| a.port() != 0);
+            if addrs.len() < 2 {
+                usage("--addrs needs at least 2 endpoints (use --addr for one)".into());
+            }
+        } else if args.flag("addr") {
+            addrs.push(args.get("addr", SocketAddr::from(([0, 0, 0, 0], 0))));
+        }
+        let max_conns = match mode {
+            Mode::Idle { conns: idle, .. } => *idle as usize + conns as usize + 8,
+            _ => args.get("max-conns", 64),
+        };
+        Load {
+            smoke,
+            policy: args.get("policy", policy),
+            conns,
+            ops: args.get("ops", if smoke { ops_smoke } else { ops_full }),
+            value_size: args.get("value-size", if smoke { 64 } else { 100 }),
+            read_pct: args.get("read-pct", 50).min(100),
+            throttle: Duration::from_micros(args.get("throttle-us", 0)),
+            addrs,
+            local_shards: at_least_one(args, "local-shards", 1),
+            shutdown: args.flag("shutdown"),
+            inject_garbage: args.flag("inject-garbage"),
+            pool_mb: args.get("pool-mb", if args.flag("local-shards") { 32 } else { 64 }),
+            nbuckets: args.get("nbuckets", 4096),
+            flush_wait_ns: sweep.then(|| args.get("flush-wait-ns", 15_000)),
+            server: ServerConfig {
+                workers: args.get("workers", if sweep { 8 } else { 4 }),
+                max_conns,
+                queue_depth: args.get("queue-depth", if sweep { 256 } else { 128 }),
+                reactors: args.get("reactors", 2),
+                ..ServerConfig::default()
+            },
+        }
+    }
 }
 
 fn key_of(conn: u32, seq: u64) -> [u8; KEY_SIZE] {
@@ -155,599 +306,265 @@ fn key_of(conn: u32, seq: u64) -> [u8; KEY_SIZE] {
     k
 }
 
-/// Closed-loop worker: `ops` operations, `read_pct`% GETs over keys this
-/// connection already wrote, retrying `BUSY` with a short backoff.
-fn run_conn(
-    addr: std::net::SocketAddr,
-    conn_id: u32,
-    ops: u64,
-    value: &[u8],
-    read_pct: u32,
-) -> Result<ConnResult, String> {
-    let mut client = Client::connect_retry(addr, Duration::from_secs(5))
-        .map_err(|e| format!("conn {conn_id}: connect: {e}"))?;
-    let mut res = ConnResult {
-        puts: Lats::default(),
-        gets: Lats::default(),
-        busy_retries: 0,
-    };
-    let mut written: u64 = 0;
-    // Per-connection xorshift for the op mix and GET key choice.
-    let mut x: u64 = 0x9e37_79b9 ^ u64::from(conn_id) << 17 | 1;
-    let mut rng = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let mut out = Vec::with_capacity(value.len());
-    for _ in 0..ops {
-        let is_get = written > 0 && (rng() % 100) < u64::from(read_pct);
-        if is_get {
-            let key = key_of(conn_id, rng() % written);
-            let start = Instant::now();
-            out.clear();
-            let hit = retry_busy(&mut res.busy_retries, || client.get(&key, &mut out))
-                .map_err(|e| format!("conn {conn_id}: GET: {e}"))?;
-            res.gets.push(start.elapsed());
-            if !hit {
-                return Err(format!("conn {conn_id}: GET missed an acked key"));
-            }
-        } else {
-            let key = key_of(conn_id, written);
-            let start = Instant::now();
-            retry_busy(&mut res.busy_retries, || client.put(&key, value))
-                .map_err(|e| format!("conn {conn_id}: PUT: {e}"))?;
-            res.puts.push(start.elapsed());
-            written += 1;
-        }
-    }
-    Ok(res)
+/// The value written under `key`: the key stamped over a `0xA5` fill, so
+/// a GET answered with another key's value fails the byte check.
+fn value_of(key: &[u8; KEY_SIZE], size: usize) -> Vec<u8> {
+    let mut v = vec![0xA5u8; size];
+    let n = size.min(KEY_SIZE);
+    v[..n].copy_from_slice(&key[..n]);
+    v
 }
 
-fn retry_busy<R>(
-    busy: &mut u64,
-    mut f: impl FnMut() -> Result<R, ClientError>,
-) -> Result<R, ClientError> {
-    loop {
-        match f() {
-            Err(ClientError::Busy) => {
-                *busy += 1;
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            other => return other,
-        }
-    }
+/// Per-shard `(puts, gets)` latency distributions of one connection.
+type ShardLats = (Vec<Lats>, Vec<Lats>);
+
+fn per_shard(n: usize) -> Vec<Lats> {
+    (0..n).map(|_| Lats::default()).collect()
 }
 
-/// Pipelined worker: the same op mix as [`run_conn`], but shipped in
-/// batches of `depth` without waiting per op. Batches alternate between a
-/// `MULTI` frame (one atomic, group-committed unit) and raw back-to-back
-/// pipelined frames, so both server paths are measured. A `BUSY` (whole
-/// batch or any slot) retries the batch — PUTs are idempotent here. Batch
-/// latency is attributed evenly across the batch's ops.
-fn run_conn_pipelined(
-    addr: std::net::SocketAddr,
-    conn_id: u32,
-    ops: u64,
-    value: &[u8],
-    read_pct: u32,
+fn merged<'a>(parts: impl IntoIterator<Item = &'a Lats>) -> Lats {
+    let mut all = Lats::default();
+    for l in parts {
+        all.merge(l);
+    }
+    all
+}
+
+/// One connection's share of a phase: `load.ops` operations in batches of
+/// `depth`, each key routed through `ring` to its endpoint (one open
+/// connection per endpoint). Depth 1 is a `GET`/`PUT` round trip; deeper
+/// batches alternate `MULTI` and raw pipelined frames, and a batch's
+/// latency is attributed evenly to its operations. This is the only code
+/// that issues data requests, so every mode gets the same reply checks.
+fn drive(
+    load: &Load,
+    addrs: &[SocketAddr],
+    ring: &Ring,
+    conn: u32,
     depth: usize,
-    throttle: Duration,
-) -> Result<ConnResult, String> {
-    let mut client = Client::connect_retry(addr, Duration::from_secs(5))
-        .map_err(|e| format!("conn {conn_id}: connect: {e}"))?;
-    let mut res = ConnResult {
-        puts: Lats::default(),
-        gets: Lats::default(),
-        busy_retries: 0,
+) -> Result<ShardLats, String> {
+    let fail = |what: &str, e: ClientError| match e {
+        ClientError::Busy => format!("conn {conn}: server at its connection limit"),
+        e => format!("conn {conn}: {what}: {e}"),
     };
-    let mut written: u64 = 0;
-    let mut x: u64 = 0x9e37_79b9 ^ u64::from(conn_id) << 17 | 1;
+    let mut clients = addrs
+        .iter()
+        .map(|a| {
+            Client::connect_retry(a, Duration::from_secs(5))
+                .map_err(|e| format!("conn {conn}: connect {a}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let (mut puts, mut gets) = (per_shard(addrs.len()), per_shard(addrs.len()));
+    // Per-connection xorshift for the op mix and GET key choice.
+    let mut x: u64 = (0x9e37_79b9 ^ (u64::from(conn) << 17)) | 1;
     let mut rng = move || {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         x
     };
+    let mut written: u64 = 0;
     let mut done: u64 = 0;
     let mut batch_no: u64 = 0;
-    while done < ops {
-        let n = depth.min((ops - done) as usize).max(1);
-        // Plan the batch up front: a GET may target a key whose PUT sits
-        // earlier in the same batch — the server's run execution
-        // guarantees reads observe earlier writes of the run.
-        let mut plan: Vec<(bool, [u8; KEY_SIZE])> = Vec::with_capacity(n);
-        let mut w = written;
+    while done < load.ops {
+        let n = depth.min((load.ops - done) as usize);
+        // Plan the batch up front as `(is_get, key, value, shard)`: a GET may
+        // target a key whose PUT sits earlier in the same batch; both route
+        // to the same shard, whose run execution lets reads observe earlier
+        // writes of the run.
+        let mut plan = Vec::with_capacity(n);
         for _ in 0..n {
-            let is_get = w > 0 && (rng() % 100) < u64::from(read_pct);
-            if is_get {
-                plan.push((true, key_of(conn_id, rng() % w)));
-            } else {
-                plan.push((false, key_of(conn_id, w)));
-                w += 1;
-            }
+            let is_get = written > 0 && (rng() % 100) < u64::from(load.read_pct);
+            let seq = if is_get { rng() % written } else { written };
+            written += u64::from(!is_get);
+            let key = key_of(conn, seq);
+            let shard = ring.shard_of(&key) as usize;
+            plan.push((is_get, key, value_of(&key, load.value_size), shard));
         }
-        let reqs: Vec<Request<'_>> = plan
-            .iter()
-            .map(|(is_get, key)| {
-                if *is_get {
-                    Request::Get { key }
-                } else {
-                    Request::Put { key, value }
-                }
-            })
-            .collect();
-        let start = Instant::now();
-        let replies = loop {
-            let attempt = if batch_no.is_multiple_of(2) {
-                client.multi(&reqs)
-            } else {
-                client.pipeline(&reqs)
-            };
-            match attempt {
-                Ok(rs) if rs.iter().any(|r| matches!(r, Reply::Busy)) => {
-                    res.busy_retries += 1;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Ok(rs) => break rs,
-                Err(ClientError::Busy) => {
-                    res.busy_retries += 1;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(e) => return Err(format!("conn {conn_id}: batch: {e}")),
+        for (shard, client) in clients.iter_mut().enumerate() {
+            let ops: Vec<_> = plan.iter().filter(|op| op.3 == shard).collect();
+            if ops.is_empty() {
+                continue;
             }
-        };
-        let per_op = start.elapsed() / n as u32;
-        for ((is_get, _), reply) in plan.iter().zip(&replies) {
-            match (is_get, reply) {
-                (true, Reply::Value(v)) if v == value => res.gets.push(per_op),
-                (false, Reply::Ok) => res.puts.push(per_op),
+            let start = Instant::now();
+            let replies = match ops[..] {
+                [(true, key, value, _)] if depth == 1 => {
+                    let mut out = Vec::with_capacity(value.len());
+                    let hit = client.get(key, &mut out).map_err(|e| fail("GET", e))?;
+                    vec![if hit {
+                        Reply::Value(out)
+                    } else {
+                        Reply::NotFound
+                    }]
+                }
+                [(false, key, value, _)] if depth == 1 => {
+                    client.put(key, value).map_err(|e| fail("PUT", e))?;
+                    vec![Reply::Ok]
+                }
                 _ => {
-                    return Err(format!(
-                        "conn {conn_id}: unexpected batch reply {reply:?} (get={is_get})"
-                    ))
+                    let reqs: Vec<Request<'_>> = ops
+                        .iter()
+                        .map(|(is_get, key, value, _)| {
+                            if *is_get {
+                                Request::Get { key }
+                            } else {
+                                Request::Put { key, value }
+                            }
+                        })
+                        .collect();
+                    if batch_no.is_multiple_of(2) {
+                        client.multi(&reqs)
+                    } else {
+                        client.pipeline(&reqs)
+                    }
+                    .map_err(|e| fail("batch", e))?
+                }
+            };
+            let per_op = start.elapsed() / ops.len() as u32;
+            for ((is_get, _, value, _), reply) in ops.iter().zip(&replies) {
+                match (is_get, reply) {
+                    (true, Reply::Value(v)) if v == value => gets[shard].push(per_op),
+                    (false, Reply::Ok) => puts[shard].push(per_op),
+                    (_, Reply::Busy) => return Err(fail("", ClientError::Busy)),
+                    (true, Reply::NotFound) => {
+                        return Err(format!(
+                            "conn {conn}: shard {shard} missed an acked key — a lost \
+                             write, or the client ring disagrees with placement"
+                        ))
+                    }
+                    (is_get, reply) => {
+                        return Err(format!(
+                            "conn {conn}: shard {shard}: wrong reply {reply:?} (get={is_get})"
+                        ))
+                    }
                 }
             }
         }
-        written = w;
         done += n as u64;
         batch_no += 1;
-        if throttle > Duration::ZERO {
-            std::thread::sleep(throttle);
+        if depth > 1 && load.throttle > Duration::ZERO {
+            std::thread::sleep(load.throttle);
         }
     }
-    Ok(res)
+    Ok((puts, gets))
 }
 
-struct MultiConnResult {
-    /// All-op latency distribution per endpoint, in endpoint order.
-    per_shard: Vec<Lats>,
-    busy_retries: u64,
+/// Per-shard latency distributions of one phase, merged over connections.
+struct PhaseOut {
+    puts: Vec<Lats>,
+    gets: Vec<Lats>,
+    elapsed_s: f64,
 }
 
-/// Multi-endpoint worker: the [`run_conn`] op mix, but each key is routed
-/// through the client-side [`Ring`] to the endpoint that owns it — one
-/// open connection per endpoint. Routing is deterministic, so a GET for a
-/// previously-acked key always lands on the endpoint that took the PUT.
-fn run_conn_multi(
-    endpoints: Arc<Vec<std::net::SocketAddr>>,
-    ring: Arc<Ring>,
-    conn_id: u32,
-    ops: u64,
-    value: &[u8],
-    read_pct: u32,
-) -> Result<MultiConnResult, String> {
-    let mut clients = Vec::with_capacity(endpoints.len());
-    for (s, addr) in endpoints.iter().enumerate() {
-        clients.push(
-            Client::connect_retry(*addr, Duration::from_secs(5))
-                .map_err(|e| format!("conn {conn_id}: connect shard {s} ({addr}): {e}"))?,
-        );
+impl PhaseOut {
+    fn put(&self) -> Lats {
+        merged(&self.puts)
     }
-    let mut res = MultiConnResult {
-        per_shard: (0..endpoints.len()).map(|_| Lats::default()).collect(),
-        busy_retries: 0,
-    };
-    let mut written: u64 = 0;
-    let mut x: u64 = 0x9e37_79b9 ^ u64::from(conn_id) << 17 | 1;
-    let mut rng = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let mut out = Vec::with_capacity(value.len());
-    for _ in 0..ops {
-        let is_get = written > 0 && (rng() % 100) < u64::from(read_pct);
-        let key = if is_get {
-            key_of(conn_id, rng() % written)
-        } else {
-            key_of(conn_id, written)
-        };
-        let shard = ring.shard_of(&key) as usize;
-        let client = &mut clients[shard];
-        let start = Instant::now();
-        if is_get {
-            out.clear();
-            let hit = retry_busy(&mut res.busy_retries, || client.get(&key, &mut out))
-                .map_err(|e| format!("conn {conn_id}: GET shard {shard}: {e}"))?;
-            if !hit {
-                return Err(format!(
-                    "conn {conn_id}: shard {shard} missed an acked key — \
-                     client ring disagrees with placement"
-                ));
-            }
-        } else {
-            retry_busy(&mut res.busy_retries, || client.put(&key, value))
-                .map_err(|e| format!("conn {conn_id}: PUT shard {shard}: {e}"))?;
-            written += 1;
+
+    fn all(&self) -> Lats {
+        merged(self.puts.iter().chain(&self.gets))
+    }
+
+    fn ops_per_s(&self) -> f64 {
+        self.all().count as f64 / self.elapsed_s
+    }
+
+    /// The `put_op` row, plus the `get_op` row when the phase read at all.
+    fn rows(&self, load: &Load, put_op: &'static str, get_op: &'static str) -> Vec<Json> {
+        let gets = merged(&self.gets);
+        let mut rows = vec![lat_row(load, put_op, &self.put(), self.elapsed_s)];
+        if gets.count > 0 {
+            rows.push(lat_row(load, get_op, &gets, self.elapsed_s));
         }
-        res.per_shard[shard].push(start.elapsed());
+        rows
     }
-    Ok(res)
 }
 
-/// Multi-endpoint mode (`--addrs a,b,c` / `--local-shards N`): drive a
-/// sharded deployment through a client-side ring and report how evenly
-/// the ring spread real traffic. One row per shard; the headline skew is
-/// `max/mean` of per-shard op counts (1.0 = perfectly even). The run
-/// self-validates through `validate_rows` and fails if any shard saw no
-/// traffic — a starved shard means client and server rings disagree.
-fn run_multi(
-    args: &Args,
-    endpoints: Vec<std::net::SocketAddr>,
-    mut local: Vec<Server>,
-) -> Result<(), String> {
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-    let conns: u32 = args.get("conns", if smoke { 2 } else { 4 });
-    let ops: u64 = args.get("ops", if smoke { 500 } else { 20_000 });
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-    let nshards = endpoints.len();
-
-    banner(&format!(
-        "spp-loadgen multi: {nshards} endpoints conns={conns} ops/conn={ops} \
-         value={value_size}B reads={read_pct}%"
-    ));
-    for (s, addr) in endpoints.iter().enumerate() {
-        println!("  shard {s} -> {addr}");
-    }
-
-    let endpoints = Arc::new(endpoints);
-    let ring = Arc::new(Ring::new(nshards as u32));
-    let value = vec![0xA5u8; value_size];
+/// The phase runner every mode is built on: one [`drive`] thread per
+/// connection id in `conns` over a [`Ring`] of `addrs`, at `depth`. `mid`
+/// runs on the calling thread once the connections are under way.
+fn run_phase(
+    load: &Load,
+    addrs: &[SocketAddr],
+    conns: Range<u32>,
+    depth: usize,
+    mid: impl FnOnce(),
+) -> Result<PhaseOut, String> {
+    let ring = &Ring::new(addrs.len() as u32);
     let start = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|conn_id| {
-            let endpoints = Arc::clone(&endpoints);
-            let ring = Arc::clone(&ring);
-            let value = value.clone();
-            std::thread::spawn(move || {
-                run_conn_multi(endpoints, ring, conn_id, ops, &value, read_pct)
-            })
-        })
-        .collect();
-    let mut per_shard: Vec<Lats> = (0..nshards).map(|_| Lats::default()).collect();
-    let mut busy_retries = 0u64;
-    for h in handles {
-        let r = h.join().map_err(|_| "loadgen thread panicked")??;
-        for (acc, lats) in per_shard.iter_mut().zip(&r.per_shard) {
-            acc.merge(lats);
+    let joined: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = conns
+            .map(|id| s.spawn(move || drive(load, addrs, ring, id, depth)))
+            .collect();
+        mid();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut out = PhaseOut {
+        puts: per_shard(addrs.len()),
+        gets: per_shard(addrs.len()),
+        elapsed_s: start.elapsed().as_secs_f64(),
+    };
+    for r in joined {
+        let (puts, gets) = r.map_err(|_| "loadgen thread panicked".to_string())??;
+        for s in 0..addrs.len() {
+            out.puts[s].merge(&puts[s]);
+            out.gets[s].merge(&gets[s]);
         }
-        busy_retries += r.busy_retries;
     }
-    let elapsed = start.elapsed().as_secs_f64();
+    Ok(out)
+}
 
-    let counts: Vec<u64> = per_shard.iter().map(|l| l.count).collect();
-    let total: u64 = counts.iter().sum();
-    let mean = total as f64 / nshards as f64;
-    let skew = counts.iter().copied().max().unwrap_or(0) as f64 / mean;
-    for (s, lats) in per_shard.iter().enumerate() {
-        println!(
-            "  shard {s}: {:>8} ops  {:>10.0} ops/s  p50={:.1}us p99={:.1}us",
-            lats.count,
-            lats.count as f64 / elapsed,
-            lats.percentile_us(0.50),
-            lats.percentile_us(0.99),
-        );
+/// Start one in-process server on an ephemeral port with a fresh pool.
+fn spawn_local(load: &Load) -> Result<Server, String> {
+    let bytes = load.pool_mb << 20;
+    let pool = match load.flush_wait_ns {
+        Some(ns) => fresh_server_pool_wait(bytes, 16, ns),
+        None => fresh_server_pool(bytes, 16, false),
     }
-    println!(
-        "total: {total} ops in {elapsed:.3}s = {:.0} ops/s  shard skew (max/mean): {skew:.2} \
-         ({busy_retries} BUSY retries)",
-        total as f64 / elapsed
-    );
-    if let Some(starved) = counts.iter().position(|&c| c == 0) {
-        return Err(format!(
-            "shard {starved} received no traffic — client ring and deployment disagree"
-        ));
+    .map_err(|e| format!("pool create: {e}"))?;
+    let pm = Arc::clone(pool.pm());
+    let engine = KvEngine::create(pool, load.policy, load.nbuckets)
+        .map_err(|e| format!("engine create: {e}"))?;
+    let server = Server::start(Arc::new(engine), ("127.0.0.1", 0), load.server.clone())
+        .map_err(|e| format!("in-process server: {e}"))?;
+    // Device-wait pools run setup at DRAM speed; measure with the wait on.
+    if load.flush_wait_ns.is_some() {
+        pm.set_latency_enabled(true);
     }
+    Ok(server)
+}
 
-    let mut rows = Vec::with_capacity(nshards);
-    for (s, lats) in per_shard.iter().enumerate() {
-        let mut row = lat_row(policy, "multi_shard", lats, elapsed);
-        if let Json::Obj(fields) = &mut row {
-            fields.insert(2, ("shard", Json::Int(s as u64)));
-        }
-        rows.push(row);
+/// The endpoints to load: the external `--addr`/`--addrs`, or freshly
+/// spawned in-process servers (returned so [`release`] can stop them).
+fn serve(load: &Load) -> Result<(Vec<SocketAddr>, Vec<Server>), String> {
+    if !load.addrs.is_empty() {
+        return Ok((load.addrs.clone(), Vec::new()));
     }
-    for row in &rows {
-        println!("{}", row.render());
-    }
-    validate_rows(
-        &rows,
-        &["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"],
-    )
-    .map_err(|e| format!("result validation failed: {e}"))?;
+    let local = (0..load.local_shards)
+        .map(|_| spawn_local(load))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((local.iter().map(Server::local_addr).collect(), local))
+}
 
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("mode", Json::Str("multi".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
-        ("shards", Json::Int(nshards as u64)),
-        ("conns", Json::Int(u64::from(conns))),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
-        ("elapsed_s", Json::Num(elapsed)),
-        ("total_ops_s", Json::Num(total as f64 / elapsed)),
-        (
-            "shard_ops",
-            Json::Arr(counts.iter().map(|&c| Json::Int(c)).collect()),
-        ),
-        ("shard_skew_max_over_mean", Json::Num(skew)),
-        ("busy_retries", Json::Int(busy_retries)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
-
-    if args.flag("shutdown") && local.is_empty() {
-        for addr in endpoints.iter() {
-            let mut c = Client::connect_retry(*addr, Duration::from_secs(5))
+/// Stop the in-process servers; with `--shutdown`, send `SHUTDOWN` to every
+/// external endpoint instead.
+fn release(load: &Load, addrs: &[SocketAddr], local: Vec<Server>) -> Result<(), String> {
+    if load.shutdown && local.is_empty() {
+        for addr in addrs {
+            let mut c = Client::connect_retry(addr, Duration::from_secs(5))
                 .map_err(|e| format!("shutdown connect {addr}: {e}"))?;
             c.shutdown().map_err(|e| format!("SHUTDOWN {addr}: {e}"))?;
         }
     }
-    for server in local.drain(..) {
+    for server in local {
         server.shutdown();
     }
     Ok(())
 }
 
-struct PhaseOut {
-    elapsed_s: f64,
-    puts: Lats,
-    gets: Lats,
-    busy_retries: u64,
-    /// `(batches, ops)` group-commit counters — in-process servers only.
-    group: Option<(u64, u64)>,
-}
-
-/// Run one measurement phase: `depth == 0` is the closed-loop round-trip
-/// baseline, `depth > 0` ships pipelined batches. Spawns a fresh in-process
-/// server unless `addr_arg` names an external one (then `conn_base` keeps
-/// the phases' keyspaces disjoint).
-#[allow(clippy::too_many_arguments)]
-fn run_phase(
-    args: &Args,
-    policy: PolicyKind,
-    addr_arg: &str,
-    conn_base: u32,
-    conns: u32,
-    ops: u64,
-    value: &[u8],
-    read_pct: u32,
-    depth: usize,
-    throttle: Duration,
-) -> Result<PhaseOut, String> {
-    let mut local: Option<Server> = None;
-    let addr: std::net::SocketAddr = if addr_arg.is_empty() {
-        let pool = fresh_server_pool(args.get("pool-mb", 64u64) << 20, 16, false)
-            .map_err(|e| format!("pool create: {e}"))?;
-        let engine = Arc::new(
-            KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-                .map_err(|e| format!("engine create: {e}"))?,
-        );
-        let cfg = ServerConfig {
-            workers: args.get("workers", 4),
-            max_conns: args.get("max-conns", 64),
-            queue_depth: args.get("queue-depth", 128),
-            reactors: args.get("reactors", 2),
-            ..ServerConfig::default()
-        };
-        let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-            .map_err(|e| format!("in-process server: {e}"))?;
-        let addr = server.local_addr();
-        local = Some(server);
-        addr
-    } else {
-        addr_arg
-            .parse()
-            .map_err(|e| format!("bad --addr `{addr_arg}`: {e}"))?
-    };
-
-    let start = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|i| {
-            let value = value.to_vec();
-            std::thread::spawn(move || {
-                if depth == 0 {
-                    run_conn(addr, conn_base + i, ops, &value, read_pct)
-                } else {
-                    run_conn_pipelined(addr, conn_base + i, ops, &value, read_pct, depth, throttle)
-                }
-            })
-        })
-        .collect();
-    let mut puts = Lats::default();
-    let mut gets = Lats::default();
-    let mut busy_retries = 0u64;
-    for h in handles {
-        let r = h.join().map_err(|_| "loadgen thread panicked")??;
-        puts.merge(&r.puts);
-        gets.merge(&r.gets);
-        busy_retries += r.busy_retries;
-    }
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let group = local.as_ref().map(Server::group_stats);
-    if let Some(server) = local.take() {
-        server.shutdown();
-    }
-    Ok(PhaseOut {
-        elapsed_s,
-        puts,
-        gets,
-        busy_retries,
-        group,
-    })
-}
-
-/// Pipeline-comparison mode (`--pipeline N`): round-trip baseline phase,
-/// then a pipelined phase at depth `N`, reporting both throughputs and
-/// their ratio. Exits nonzero if the speedup misses the floor (2.0x full,
-/// 1.5x smoke) — unless `--throttle-us` is deliberately degrading the run
-/// for the perf-gate's injected-regression self-test.
-fn run_pipeline(args: &Args, depth: usize) -> Result<(), String> {
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-    let conns: u32 = args.get("conns", if smoke { 2 } else { 4 });
-    let ops: u64 = args.get("ops", if smoke { 500 } else { 20_000 });
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-    let addr_arg: String = args.get("addr", String::new());
-    let throttle = Duration::from_micros(args.get("throttle-us", 0u64));
-
-    banner(&format!(
-        "spp-loadgen pipeline: policy={} depth={depth} conns={conns} ops/conn={ops} \
-         value={value_size}B reads={read_pct}%",
-        policy.label()
-    ));
-    let value = vec![0xA5u8; value_size];
-
-    let rt = run_phase(
-        args,
-        policy,
-        &addr_arg,
-        0,
-        conns,
-        ops,
-        &value,
-        read_pct,
-        0,
-        Duration::ZERO,
-    )?;
-    let rt_tput = (rt.puts.count + rt.gets.count) as f64 / rt.elapsed_s;
-    println!(
-        "round-trip: {rt_tput:>10.0} ops/s  p50={:.1}us p99={:.1}us ({} BUSY retries)",
-        rt.puts.percentile_us(0.50),
-        rt.puts.percentile_us(0.99),
-        rt.busy_retries
-    );
-
-    let pl = run_phase(
-        args,
-        policy,
-        &addr_arg,
-        1 << 20,
-        conns,
-        ops,
-        &value,
-        read_pct,
-        depth,
-        throttle,
-    )?;
-    let pl_tput = (pl.puts.count + pl.gets.count) as f64 / pl.elapsed_s;
-    println!(
-        "pipelined:  {pl_tput:>10.0} ops/s  p50={:.1}us p99={:.1}us ({} BUSY retries)",
-        pl.puts.percentile_us(0.50),
-        pl.puts.percentile_us(0.99),
-        pl.busy_retries
-    );
-    if let Some((batches, gops)) = pl.group {
-        let avg = if batches > 0 {
-            gops as f64 / batches as f64
-        } else {
-            0.0
-        };
-        println!(
-            "group commit: {gops} write ops over {batches} boundaries ({avg:.1} ops/boundary)"
-        );
-    }
-
-    let speedup = pl_tput / rt_tput;
-    println!("pipeline speedup: {speedup:.2}x");
-    let floor = if smoke { 1.5 } else { 2.0 };
-    if throttle > Duration::ZERO {
-        println!("throttled run ({throttle:?}/batch): speedup floor check skipped");
-    } else if speedup < floor {
-        return Err(format!(
-            "pipeline speedup {speedup:.2}x under the {floor:.1}x floor — batching regressed"
-        ));
-    }
-
-    let mut rows = vec![
-        lat_row(policy, "put_roundtrip", &rt.puts, rt.elapsed_s),
-        lat_row(policy, "put_pipelined", &pl.puts, pl.elapsed_s),
-    ];
-    if rt.gets.count > 0 {
-        rows.push(lat_row(policy, "get_roundtrip", &rt.gets, rt.elapsed_s));
-    }
-    if pl.gets.count > 0 {
-        rows.push(lat_row(policy, "get_pipelined", &pl.gets, pl.elapsed_s));
-    }
-    for row in &rows {
-        println!("{}", row.render());
-    }
-    validate_rows(
-        &rows,
-        &["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"],
-    )
-    .map_err(|e| format!("result validation failed: {e}"))?;
-
-    let (group_batches, group_ops) = pl.group.unwrap_or((0, 0));
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("mode", Json::Str("pipeline".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
-        ("pipeline_depth", Json::Int(depth as u64)),
-        ("conns", Json::Int(u64::from(conns))),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
-        ("throttle_us", Json::Int(throttle.as_micros() as u64)),
-        ("roundtrip_ops_s", Json::Num(rt_tput)),
-        ("pipelined_ops_s", Json::Num(pl_tput)),
-        ("pipeline_speedup", Json::Num(speedup)),
-        ("group_batches", Json::Int(group_batches)),
-        ("group_batched_ops", Json::Int(group_ops)),
-        ("busy_retries", Json::Int(rt.busy_retries + pl.busy_retries)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
-
-    // Both phases already tore down their in-process servers; --shutdown
-    // only matters against an external --addr server (the CI smoke job
-    // ends each policy's serving round through this).
-    if args.flag("shutdown") && !addr_arg.is_empty() {
-        let mut client = Client::connect_retry(&addr_arg, Duration::from_secs(5))
-            .map_err(|e| format!("shutdown connect: {e}"))?;
-        client.shutdown().map_err(|e| format!("SHUTDOWN: {e}"))?;
-    }
-    Ok(())
-}
-
-fn lat_row(policy: PolicyKind, op: &'static str, lats: &Lats, elapsed_s: f64) -> Json {
+fn lat_row(load: &Load, op: &'static str, lats: &Lats, elapsed_s: f64) -> Json {
     Json::Obj(vec![
-        ("policy", Json::Str(policy.label().to_string())),
+        ("policy", Json::Str(load.policy.label().to_string())),
         ("op", Json::Str(op.to_string())),
         ("ops", Json::Int(lats.count)),
         ("throughput_ops_s", Json::Num(lats.count as f64 / elapsed_s)),
@@ -757,102 +574,250 @@ fn lat_row(policy: PolicyKind, op: &'static str, lats: &Lats, elapsed_s: f64) ->
     ])
 }
 
-/// Thread-sweep mode (`--sweep-threads 1,2,4,8`): one fresh in-process
-/// server per connection count, all on device-wait media, reporting where
-/// the throughput knee sits. Each point's row lands in
-/// `results/server_loadgen.json` with `op: "sweep"`; the contention profile
-/// accumulated across the sweep is dumped to
-/// `results/contention_loadgen.txt`.
-fn run_sweep(args: &Args, sweep_csv: &str) -> Result<(), String> {
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Pmdk);
-    let ops: u64 = args.get("ops", if smoke { 300 } else { 4_000 });
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-    let flush_wait_ns: u32 = args.get("flush-wait-ns", 15_000);
-    let conn_counts: Vec<u32> = sweep_csv
-        .split(',')
-        .filter_map(|t| t.parse().ok())
-        .collect();
-    if conn_counts.len() < 2 {
+/// `row` with a `name` field after its `op` (the sweep point or shard).
+fn tag(mut row: Json, name: &'static str, value: u64) -> Json {
+    if let Json::Obj(fields) = &mut row {
+        fields.insert(2, (name, Json::Int(value)));
+    }
+    row
+}
+
+/// Print and validate the rows, then write the run's artifact: `name`,
+/// `mode`, `policy` and the load shape, the mode's `fields`, and `rows`,
+/// plus any `(file, text)` sidecars. `--inject-garbage` appends a poisoned
+/// row, so every mode proves its validation bites.
+fn emit(
+    load: &Load,
+    mode: &str,
+    fields: Vec<(&'static str, Json)>,
+    mut rows: Vec<Json>,
+    sidecars: &[(&str, String)],
+) -> Result<(), String> {
+    for row in &rows {
+        println!("{}", row.render());
+    }
+    if load.inject_garbage {
+        rows.push(lat_row(load, "garbage", &Lats::default(), 0.0));
+    }
+    let positive = ["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"];
+    validate_rows(&rows, &positive).map_err(|e| format!("result validation failed: {e}"))?;
+    let mut doc = vec![
+        ("name", Json::Str("server_loadgen".to_string())),
+        ("mode", Json::Str(mode.to_string())),
+        ("policy", Json::Str(load.policy.label().to_string())),
+        ("ops_per_conn", Json::Int(load.ops)),
+        ("value_size", Json::Int(load.value_size as u64)),
+        ("read_pct", Json::Int(u64::from(load.read_pct))),
+    ];
+    doc.extend(fields);
+    doc.push(("rows", Json::Arr(rows)));
+    // Idle runs write a sibling: the perf gate pins `server_loadgen.json`
+    // to the pipeline artifact, and idle results must not clobber it.
+    let file = if mode == "idle_scaling" {
+        "server_loadgen_idle.json"
+    } else {
+        "server_loadgen.json"
+    };
+    let main = (file, Json::Obj(doc).render() + "\n");
+    for (name, text) in std::iter::once(&main).chain(sidecars) {
+        println!("wrote {}", write_text_artifact(name, text).display());
+    }
+    Ok(())
+}
+
+/// Default mode: one closed-loop round-trip phase, then the server's STATS.
+fn run_roundtrip(load: &Load) -> Result<(), String> {
+    load.banner("round-trip", format!("conns={}", load.conns));
+    let (addrs, local) = serve(load)?;
+    let out = run_phase(load, &addrs, 0..load.conns, 1, || {})?;
+    // Server-side introspection after the run (also exercises STATS).
+    let stats = Client::connect_retry(addrs[0], Duration::from_secs(5))
+        .map_err(|e| format!("stats: {e}"))?
+        .stats()
+        .map_err(|e| format!("STATS: {e}"))?;
+    println!("--- server stats ---\n{stats}--------------------");
+    release(load, &addrs, local)?;
+
+    println!(
+        "total: {} ops in {:.3}s = {:.0} ops/s",
+        out.all().count,
+        out.elapsed_s,
+        out.ops_per_s()
+    );
+    let rows = out.rows(load, "put", "get");
+    let fields = vec![
+        ("conns", Json::Int(u64::from(load.conns))),
+        ("elapsed_s", Json::Num(out.elapsed_s)),
+    ];
+    emit(load, "roundtrip", fields, rows, &[])
+}
+
+/// Pipeline-comparison mode (`--pipeline N`): a round-trip phase, then a
+/// depth-`N` phase, reporting both throughputs and their ratio. Fails if
+/// the speedup misses the floor (2.0x full, 1.5x smoke) — unless
+/// `--throttle-us` is deliberately degrading the run for the perf gate's
+/// injected-regression self-test.
+fn run_pipeline(load: &Load, depth: usize) -> Result<(), String> {
+    load.banner("pipeline", format!("depth={depth} conns={}", load.conns));
+    let (addrs, local) = serve(load)?;
+    let rt = run_phase(load, &addrs, 0..load.conns, 1, || {})?;
+    // The pipelined phase gets a fresh in-process server; on an external
+    // one, its connection ids keep the two phases' keys disjoint.
+    let (addrs, local) = if local.is_empty() {
+        (addrs, local)
+    } else {
+        release(load, &addrs, local)?;
+        serve(load)?
+    };
+    let base = 1 << 20;
+    let pl = run_phase(load, &addrs, base..base + load.conns, depth, || {})?;
+    let group = local.first().map(Server::group_stats);
+    release(load, &addrs, local)?;
+
+    let (rt_tput, pl_tput) = (rt.ops_per_s(), pl.ops_per_s());
+    for (name, tput, puts) in [
+        ("round-trip:", rt_tput, rt.put()),
+        ("pipelined: ", pl_tput, pl.put()),
+    ] {
+        println!(
+            "{name} {tput:>10.0} ops/s  p50={:.1}us p99={:.1}us",
+            puts.percentile_us(0.50),
+            puts.percentile_us(0.99),
+        );
+    }
+    let (group_batches, group_ops) = group.unwrap_or((0, 0));
+    if group.is_some() {
+        let avg = group_ops as f64 / group_batches.max(1) as f64;
+        println!(
+            "group commit: {group_ops} write ops over {group_batches} boundaries \
+             ({avg:.1} ops/boundary)"
+        );
+    }
+    let speedup = pl_tput / rt_tput;
+    println!("pipeline speedup: {speedup:.2}x");
+    let floor = if load.smoke { 1.5 } else { 2.0 };
+    if load.throttle > Duration::ZERO {
+        println!(
+            "throttled run ({:?}/batch): speedup floor check skipped",
+            load.throttle
+        );
+    } else if speedup < floor {
         return Err(format!(
-            "--sweep-threads needs >= 2 counts, got `{sweep_csv}`"
+            "pipeline speedup {speedup:.2}x under the {floor:.1}x floor — batching regressed"
         ));
     }
 
-    banner(&format!(
-        "spp-loadgen sweep: policy={} conns={conn_counts:?} ops/conn={ops} \
-         value={value_size}B reads={read_pct}% flush-wait={flush_wait_ns}ns",
-        policy.label()
-    ));
+    let mut rows = rt.rows(load, "put_roundtrip", "get_roundtrip");
+    rows.extend(pl.rows(load, "put_pipelined", "get_pipelined"));
+    let fields = vec![
+        ("pipeline_depth", Json::Int(depth as u64)),
+        ("conns", Json::Int(u64::from(load.conns))),
+        ("throttle_us", Json::Int(load.throttle.as_micros() as u64)),
+        ("roundtrip_ops_s", Json::Num(rt_tput)),
+        ("pipelined_ops_s", Json::Num(pl_tput)),
+        ("pipeline_speedup", Json::Num(speedup)),
+        ("group_batches", Json::Int(group_batches)),
+        ("group_batched_ops", Json::Int(group_ops)),
+    ];
+    emit(load, "pipeline", fields, rows, &[])
+}
 
+/// Multi-endpoint mode (`--addrs a,b,c` / `--local-shards N`): drive a
+/// sharded deployment through the client-side ring and report how evenly
+/// it spread real traffic. One row per shard; the headline skew is
+/// `max/mean` of per-shard op counts (1.0 = perfectly even). A shard that
+/// saw no traffic fails the run — client and server rings disagree.
+fn run_multi(load: &Load) -> Result<(), String> {
+    let (addrs, local) = serve(load)?;
+    let nshards = addrs.len();
+    load.banner("multi", format!("endpoints={nshards} conns={}", load.conns));
+    for (s, addr) in addrs.iter().enumerate() {
+        println!("  shard {s} -> {addr}");
+    }
+    let out = run_phase(load, &addrs, 0..load.conns, 1, || {})?;
+    release(load, &addrs, local)?;
+
+    let shards: Vec<Lats> = out
+        .puts
+        .iter()
+        .zip(&out.gets)
+        .map(|(p, g)| merged([p, g]))
+        .collect();
+    let counts: Vec<u64> = shards.iter().map(|l| l.count).collect();
+    let total: u64 = counts.iter().sum();
+    let skew = counts.iter().copied().max().unwrap_or(0) as f64 / (total as f64 / nshards as f64);
+    let mut rows = Vec::with_capacity(nshards);
+    for (s, lats) in shards.iter().enumerate() {
+        println!(
+            "  shard {s}: {:>8} ops  {:>10.0} ops/s  p50={:.1}us p99={:.1}us",
+            lats.count,
+            lats.count as f64 / out.elapsed_s,
+            lats.percentile_us(0.50),
+            lats.percentile_us(0.99),
+        );
+        let row = lat_row(load, "multi_shard", lats, out.elapsed_s);
+        rows.push(tag(row, "shard", s as u64));
+    }
+    println!(
+        "total: {total} ops in {:.3}s = {:.0} ops/s  shard skew (max/mean): {skew:.2}",
+        out.elapsed_s,
+        out.ops_per_s()
+    );
+    if let Some(starved) = counts.iter().position(|&c| c == 0) {
+        return Err(format!(
+            "shard {starved} received no traffic — client ring and deployment disagree"
+        ));
+    }
+
+    let fields = vec![
+        ("shards", Json::Int(nshards as u64)),
+        ("conns", Json::Int(u64::from(load.conns))),
+        ("elapsed_s", Json::Num(out.elapsed_s)),
+        ("total_ops_s", Json::Num(out.ops_per_s())),
+        (
+            "shard_ops",
+            Json::Arr(counts.iter().map(|&c| Json::Int(c)).collect()),
+        ),
+        ("shard_skew_max_over_mean", Json::Num(skew)),
+    ];
+    emit(load, "multi", fields, rows, &[])
+}
+
+/// Thread-sweep mode (`--sweep-threads 1,2,4,8`): one fresh in-process
+/// server per connection count, all on device-wait media, reporting where
+/// the throughput knee sits. The contention profile accumulated across
+/// the sweep is dumped to `results/contention_loadgen.txt`.
+fn run_sweep(load: &Load, conn_counts: &[u32]) -> Result<(), String> {
+    let flush_wait_ns = load.flush_wait_ns.unwrap_or(0);
+    load.banner(
+        "sweep",
+        format!("conns={conn_counts:?} flush-wait={flush_wait_ns}ns"),
+    );
     contention::reset_all();
-    let value = vec![0xA5u8; value_size];
     let mut rows = Vec::new();
     let mut tputs: Vec<f64> = Vec::new();
-    for &conns in &conn_counts {
-        let pool = fresh_server_pool_wait(args.get("pool-mb", 64u64) << 20, 16, flush_wait_ns)
-            .map_err(|e| format!("pool create: {e}"))?;
-        let pm = Arc::clone(pool.pm());
-        let engine = Arc::new(
-            KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-                .map_err(|e| format!("engine create: {e}"))?,
-        );
-        let cfg = ServerConfig {
-            workers: args.get("workers", 8),
-            max_conns: args.get("max-conns", 64),
-            queue_depth: args.get("queue-depth", 256),
-            reactors: args.get("reactors", 2),
-            ..ServerConfig::default()
-        };
-        let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-            .map_err(|e| format!("in-process server: {e}"))?;
-        let addr = server.local_addr();
-        pm.set_latency_enabled(true);
-
-        let start = Instant::now();
-        let handles: Vec<_> = (0..conns)
-            .map(|conn_id| {
-                let value = value.clone();
-                std::thread::spawn(move || run_conn(addr, conn_id, ops, &value, read_pct))
-            })
-            .collect();
-        let mut all = Lats::default();
-        let mut busy_retries = 0u64;
-        for h in handles {
-            let r = h.join().map_err(|_| "loadgen thread panicked")??;
-            all.merge(&r.puts);
-            all.merge(&r.gets);
-            busy_retries += r.busy_retries;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+    for &conns in conn_counts {
+        let server = spawn_local(load)?;
+        let out = run_phase(load, &[server.local_addr()], 0..conns, 1, || {})?;
         server.shutdown();
-
-        let tput = all.count as f64 / elapsed;
+        let all = out.all();
+        let tput = out.ops_per_s();
         println!(
-            "  conns={conns:<3} {tput:>10.0} ops/s  p50={:>8.1}us  p99={:>8.1}us  \
-             ({busy_retries} BUSY retries)",
+            "  conns={conns:<3} {tput:>10.0} ops/s  p50={:>8.1}us  p99={:>8.1}us",
             all.percentile_us(0.50),
             all.percentile_us(0.99),
         );
-        let mut row = lat_row(policy, "sweep", &all, elapsed);
-        if let Json::Obj(fields) = &mut row {
-            fields.insert(2, ("conns", Json::Int(u64::from(conns))));
-        }
-        rows.push(row);
+        let row = lat_row(load, "sweep", &all, out.elapsed_s);
+        rows.push(tag(row, "conns", u64::from(conns)));
         tputs.push(tput);
     }
 
     // The knee: the last connection count that still bought >= 10% more
     // throughput than the previous point.
-    let mut knee = conn_counts[0];
-    for i in 1..tputs.len() {
-        if tputs[i] >= tputs[i - 1] * 1.10 {
-            knee = conn_counts[i];
-        } else {
-            break;
-        }
-    }
+    let knee = (1..tputs.len())
+        .take_while(|&i| tputs[i] >= tputs[i - 1] * 1.10)
+        .last()
+        .map_or(conn_counts[0], |i| conn_counts[i]);
     println!("throughput knee at {knee} connections");
     println!("top contended locks during the sweep:");
     for snap in contention::top_contended(3) {
@@ -864,29 +829,8 @@ fn run_sweep(args: &Args, sweep_csv: &str) -> Result<(), String> {
             snap.wait_ns as f64 / 1e6,
         );
     }
-    let dump_path = write_text_artifact("contention_loadgen.txt", &contention::dump());
-    println!("contention dump written to {}", dump_path.display());
 
-    validate_rows(
-        &rows,
-        &[
-            "throughput_ops_s",
-            "p50_us",
-            "p95_us",
-            "p99_us",
-            "ops",
-            "conns",
-        ],
-    )
-    .map_err(|e| format!("sweep validation failed: {e}"))?;
-
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("mode", Json::Str("sweep".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
+    let fields = vec![
         ("flush_wait_ns", Json::Int(u64::from(flush_wait_ns))),
         (
             "sweep_conns",
@@ -902,14 +846,9 @@ fn run_sweep(args: &Args, sweep_csv: &str) -> Result<(), String> {
             Json::Arr(tputs.iter().map(|&v| Json::Num(v)).collect()),
         ),
         ("knee_conns", Json::Int(u64::from(knee))),
-        ("rows", Json::Arr(rows)),
-    ]);
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    ];
+    let dump = [("contention_loadgen.txt", contention::dump())];
+    emit(load, "sweep", fields, rows, &dump)
 }
 
 /// `(threads, vm_rss_kb)` for this process, from `/proc/self/status`;
@@ -930,25 +869,16 @@ fn proc_status() -> (u64, u64) {
     (field("Threads:"), field("VmRSS:"))
 }
 
-/// Idle-scaling mode (`--idle-conns N`): park N open-but-quiet
-/// connections on a fresh in-process server, then drive pipelined load
-/// over a small hot core and report what the idle fleet actually cost —
-/// process thread count and RSS with the fleet attached, plus hot-path
-/// p50/p99 — and finally ping every idle connection to prove the fleet
-/// stayed serviceable. The run **self-validates** the headline claim:
-/// total threads stay within `reactors + workers + hot + slack`, i.e.
-/// O(reactors + workers), not O(connections).
-fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-    let reactors: usize = args.get("reactors", 2);
-    let workers: usize = args.get("workers", 4);
-    let hot: u32 = args.get("conns", 2);
-    let ops: u64 = args.get("ops", if smoke { 400 } else { 4_000 });
-    let depth: usize = args.get("pipeline", 8usize).max(1);
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-
+/// Idle-scaling mode (`--idle-conns N`): park N open-but-quiet connections
+/// on a fresh in-process server, drive pipelined load over a small hot
+/// core, and report what the idle fleet cost — process threads and RSS
+/// with the fleet attached — then ping every idle connection to prove the
+/// fleet stayed serviceable. Fails unless total threads stay within
+/// `reactors + workers + hot + 8`, i.e. O(reactors + workers), not
+/// O(connections).
+fn run_idle(load: &Load, idle_conns: u32, depth: usize) -> Result<(), String> {
+    let hot = load.conns;
+    let (reactors, workers) = (load.server.reactors, load.server.workers);
     // The fd limit, not memory, is the usual first wall at thousands of
     // sockets; raise it before opening anything.
     let nofile = raise_nofile_limit();
@@ -958,31 +888,14 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
             "RLIMIT_NOFILE {nofile} too low for {idle_conns} idle connections (need ~{need})"
         ));
     }
-
-    banner(&format!(
-        "spp-loadgen idle-scaling: policy={} idle={idle_conns} hot={hot} \
-         depth={depth} ops/hot-conn={ops}",
-        policy.label()
-    ));
-
-    let pool = fresh_server_pool(args.get("pool-mb", 64u64) << 20, 16, false)
-        .map_err(|e| format!("pool create: {e}"))?;
-    let engine = Arc::new(
-        KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-            .map_err(|e| format!("engine create: {e}"))?,
+    load.banner(
+        "idle-scaling",
+        format!("idle={idle_conns} hot={hot} depth={depth}"),
     );
-    let cfg = ServerConfig {
-        workers,
-        max_conns: idle_conns as usize + hot as usize + 8,
-        queue_depth: args.get("queue-depth", 128),
-        reactors,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-        .map_err(|e| format!("in-process server: {e}"))?;
+
+    let server = spawn_local(load)?;
     let addr = server.local_addr();
     let (threads_base, rss_base_kb) = proc_status();
-
     // Park the idle fleet. Each connection proves it was admitted and
     // served (one PING) before going quiet.
     let open_start = Instant::now();
@@ -1000,43 +913,20 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
          {threads_idle}  rss {rss_base_kb} -> {rss_idle_kb} kB"
     );
 
-    // Hot pipelined core over the parked fleet.
-    let value = vec![0xA5u8; value_size];
-    let start = Instant::now();
-    let handles: Vec<_> = (0..hot)
-        .map(|i| {
-            let value = value.clone();
-            std::thread::spawn(move || {
-                run_conn_pipelined(
-                    addr,
-                    (1 << 20) + i,
-                    ops,
-                    &value,
-                    read_pct,
-                    depth,
-                    Duration::ZERO,
-                )
-            })
-        })
-        .collect();
     // Sample the thread count while the hot core is actually running —
     // that is the moment the claim is about.
-    std::thread::sleep(Duration::from_millis(50));
-    let (threads_load, rss_load_kb) = proc_status();
-    let mut puts = Lats::default();
-    let mut gets = Lats::default();
-    let mut busy_retries = 0u64;
-    for h in handles {
-        let r = h.join().map_err(|_| "loadgen thread panicked")??;
-        puts.merge(&r.puts);
-        gets.merge(&r.gets);
-        busy_retries += r.busy_retries;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let tput = (puts.count + gets.count) as f64 / elapsed;
+    let mut under_load = (0, 0);
+    let base = 1 << 20;
+    let out = run_phase(load, &[addr], base..base + hot, depth, || {
+        std::thread::sleep(Duration::from_millis(50));
+        under_load = proc_status();
+    })?;
+    let (threads_load, rss_load_kb) = under_load;
+    let puts = out.put();
     println!(
-        "hot core: {tput:>10.0} ops/s  p50={:.1}us p99={:.1}us ({busy_retries} BUSY retries)  \
+        "hot core: {:>10.0} ops/s  p50={:.1}us p99={:.1}us  \
          threads under load: {threads_load}  rss: {rss_load_kb} kB",
+        out.ops_per_s(),
         puts.percentile_us(0.50),
         puts.percentile_us(0.99),
     );
@@ -1050,11 +940,11 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     drop(idle);
     server.shutdown();
 
-    // Self-validation: idle connections are epoll registrations, so total
-    // process threads are bounded by the fixed staff — reactors + workers
-    // + hot client threads + slack for main, committer, and runtime
-    // helpers. 5000 idle conns vs a budget of ~hot+reactors+workers+8
-    // leaves no room for an O(conns) regression to hide.
+    // Idle connections are epoll registrations, so total process threads
+    // are bounded by the fixed staff — reactors + workers + hot client
+    // threads + slack for main, committer, and runtime helpers. 5000 idle
+    // conns vs a budget of ~hot+reactors+workers+8 leaves no room for an
+    // O(conns) regression to hide.
     let budget = (reactors + workers + hot as usize + 8) as u64;
     if threads_load == 0 {
         return Err("procfs unavailable: cannot validate the thread budget".into());
@@ -1068,33 +958,15 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
     }
     println!("thread budget holds: {threads_load} <= {budget}");
 
-    let mut rows = vec![lat_row(policy, "idle_hot_put", &puts, elapsed)];
-    if gets.count > 0 {
-        rows.push(lat_row(policy, "idle_hot_get", &gets, elapsed));
-    }
-    for row in &rows {
-        println!("{}", row.render());
-    }
-    validate_rows(
-        &rows,
-        &["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"],
-    )
-    .map_err(|e| format!("result validation failed: {e}"))?;
-
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("mode", Json::Str("idle_scaling".to_string())),
+    let rows = out.rows(load, "idle_hot_put", "idle_hot_get");
+    let fields = vec![
         // perf_gate's idle check requires the fleet to be epoll-held.
         ("io_mode", Json::Str("epoll".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
         ("idle_conns", Json::Int(u64::from(idle_conns))),
         ("hot_conns", Json::Int(u64::from(hot))),
         ("reactors", Json::Int(reactors as u64)),
         ("workers", Json::Int(workers as u64)),
         ("pipeline_depth", Json::Int(depth as u64)),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
         ("open_fleet_s", Json::Num(open_s)),
         ("os_threads_base", Json::Int(threads_base)),
         ("os_threads_idle", Json::Int(threads_idle)),
@@ -1103,201 +975,22 @@ fn run_idle(args: &Args, idle_conns: u32) -> Result<(), String> {
         ("vm_rss_kb_base", Json::Int(rss_base_kb)),
         ("vm_rss_kb_idle", Json::Int(rss_idle_kb)),
         ("vm_rss_kb_load", Json::Int(rss_load_kb)),
-        ("hot_ops_s", Json::Num(tput)),
-        ("busy_retries", Json::Int(busy_retries)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    // A sibling artifact, not `server_loadgen.json`: the pipeline and
-    // sweep artifacts live there, and the perf gate pins that file to
-    // `mode: "pipeline"` — idle-scaling results must not clobber them.
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen_idle.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+        ("hot_ops_s", Json::Num(out.ops_per_s())),
+    ];
+    emit(load, "idle_scaling", fields, rows, &[])
 }
 
 fn run() -> Result<(), String> {
     let args = Args::parse();
-    let sweep_csv: String = args.get("sweep-threads", String::new());
-    if !sweep_csv.is_empty() {
-        return run_sweep(&args, &sweep_csv);
+    let mode = Mode::parse(&args);
+    let load = Load::parse(&args, &mode);
+    match mode {
+        Mode::RoundTrip => run_roundtrip(&load),
+        Mode::Pipeline(depth) => run_pipeline(&load, depth),
+        Mode::Multi => run_multi(&load),
+        Mode::Sweep(counts) => run_sweep(&load, &counts),
+        Mode::Idle { conns, depth } => run_idle(&load, conns, depth),
     }
-    let idle_conns: u32 = args.get("idle-conns", 0u32);
-    if idle_conns > 0 {
-        return run_idle(&args, idle_conns);
-    }
-    let pipeline_depth: usize = args.get("pipeline", 0usize);
-    if pipeline_depth > 0 {
-        return run_pipeline(&args, pipeline_depth);
-    }
-    let addrs_csv: String = args.get("addrs", String::new());
-    let local_shards: u32 = args.get("local-shards", 0u32);
-    if !addrs_csv.is_empty() {
-        let endpoints: Vec<std::net::SocketAddr> = addrs_csv
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .map_err(|e| format!("bad --addrs entry `{t}`: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
-        if endpoints.len() < 2 {
-            return Err("--addrs needs at least 2 endpoints (use --addr for one)".to_string());
-        }
-        return run_multi(&args, endpoints, Vec::new());
-    }
-    if local_shards > 0 {
-        // Self-contained sharded deployment: one in-process single-shard
-        // server per endpoint, each with its own pool.
-        let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-        let mut servers = Vec::with_capacity(local_shards as usize);
-        let mut endpoints = Vec::with_capacity(local_shards as usize);
-        for s in 0..local_shards {
-            let pool = fresh_server_pool(args.get("pool-mb", 32u64) << 20, 16, false)
-                .map_err(|e| format!("shard {s} pool create: {e}"))?;
-            let engine = Arc::new(
-                KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-                    .map_err(|e| format!("shard {s} engine create: {e}"))?,
-            );
-            let cfg = ServerConfig {
-                workers: args.get("workers", 4),
-                max_conns: args.get("max-conns", 64),
-                queue_depth: args.get("queue-depth", 128),
-                reactors: args.get("reactors", 2),
-                ..ServerConfig::default()
-            };
-            let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-                .map_err(|e| format!("shard {s} server: {e}"))?;
-            endpoints.push(server.local_addr());
-            servers.push(server);
-        }
-        return run_multi(&args, endpoints, servers);
-    }
-    let smoke = args.flag("smoke");
-    let policy: PolicyKind = args.get("policy", PolicyKind::Spp);
-    let conns: u32 = args.get("conns", if smoke { 2 } else { 4 });
-    let ops: u64 = args.get("ops", if smoke { 500 } else { 20_000 });
-    let value_size: usize = args.get("value-size", if smoke { 64 } else { 100 });
-    let read_pct: u32 = args.get("read-pct", 50).min(100);
-    let addr_arg: String = args.get("addr", String::new());
-    let want_shutdown = args.flag("shutdown");
-    let inject_garbage = args.flag("inject-garbage");
-
-    banner(&format!(
-        "spp-loadgen: policy={} conns={conns} ops/conn={ops} value={value_size}B reads={read_pct}%",
-        policy.label()
-    ));
-
-    // Either measure an external server or spawn one in-process.
-    let mut local: Option<Server> = None;
-    let addr: std::net::SocketAddr = if addr_arg.is_empty() {
-        let pool = fresh_server_pool(args.get("pool-mb", 64u64) << 20, 16, false)
-            .map_err(|e| format!("pool create: {e}"))?;
-        let engine = Arc::new(
-            KvEngine::create(pool, policy, args.get("nbuckets", 4096))
-                .map_err(|e| format!("engine create: {e}"))?,
-        );
-        let cfg = ServerConfig {
-            workers: args.get("workers", 4),
-            max_conns: args.get("max-conns", 64),
-            queue_depth: args.get("queue-depth", 128),
-            reactors: args.get("reactors", 2),
-            ..ServerConfig::default()
-        };
-        let server = Server::start(engine, ("127.0.0.1", 0), cfg)
-            .map_err(|e| format!("in-process server: {e}"))?;
-        let addr = server.local_addr();
-        println!("spawned in-process server on {addr}");
-        local = Some(server);
-        addr
-    } else {
-        addr_arg
-            .parse()
-            .map_err(|e| format!("bad --addr `{addr_arg}`: {e}"))?
-    };
-
-    let value = vec![0xA5u8; value_size];
-    let start = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|conn_id| {
-            let value = value.clone();
-            std::thread::spawn(move || run_conn(addr, conn_id, ops, &value, read_pct))
-        })
-        .collect();
-    let mut puts = Lats::default();
-    let mut gets = Lats::default();
-    let mut busy_retries = 0u64;
-    for h in handles {
-        let r = h.join().map_err(|_| "loadgen thread panicked")??;
-        puts.merge(&r.puts);
-        gets.merge(&r.gets);
-        busy_retries += r.busy_retries;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-
-    // Server-side introspection after the run (also exercises STATS).
-    let mut client =
-        Client::connect_retry(addr, Duration::from_secs(5)).map_err(|e| format!("stats: {e}"))?;
-    let stats = client.stats().map_err(|e| format!("STATS: {e}"))?;
-    println!("--- server stats ---\n{stats}--------------------");
-
-    if want_shutdown {
-        client.shutdown().map_err(|e| format!("SHUTDOWN: {e}"))?;
-    }
-    if let Some(server) = local.take() {
-        // Idempotent with a wire-initiated SHUTDOWN; quiesces the pool.
-        server.shutdown();
-    }
-
-    let total_ops = (puts.count + gets.count) as f64;
-    println!(
-        "total: {total_ops:.0} ops in {elapsed:.3}s = {:.0} ops/s ({busy_retries} BUSY retries)",
-        total_ops / elapsed
-    );
-    let mut rows = vec![lat_row(policy, "put", &puts, elapsed)];
-    if gets.count > 0 {
-        rows.push(lat_row(policy, "get", &gets, elapsed));
-    }
-    for row in &rows {
-        println!("{}", row.render());
-    }
-    if inject_garbage {
-        // Negative CI hook: a poisoned row must make validation fail.
-        rows.push(Json::Obj(vec![
-            ("policy", Json::Str(policy.label().to_string())),
-            ("op", Json::Str("garbage".to_string())),
-            ("ops", Json::Int(0)),
-            ("throughput_ops_s", Json::Num(f64::NAN)),
-            ("p50_us", Json::Num(f64::NAN)),
-            ("p95_us", Json::Num(f64::NAN)),
-            ("p99_us", Json::Num(f64::NAN)),
-        ]));
-    }
-    validate_rows(
-        &rows,
-        &["throughput_ops_s", "p50_us", "p95_us", "p99_us", "ops"],
-    )
-    .map_err(|e| format!("result validation failed: {e}"))?;
-
-    let doc = Json::Obj(vec![
-        ("name", Json::Str("server_loadgen".to_string())),
-        ("policy", Json::Str(policy.label().to_string())),
-        ("conns", Json::Int(u64::from(conns))),
-        ("ops_per_conn", Json::Int(ops)),
-        ("value_size", Json::Int(value_size as u64)),
-        ("read_pct", Json::Int(u64::from(read_pct))),
-        ("busy_retries", Json::Int(busy_retries)),
-        ("elapsed_s", Json::Num(elapsed)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| format!("create results/: {e}"))?;
-    let path = dir.join("server_loadgen.json");
-    std::fs::write(&path, doc.render() + "\n").map_err(|e| format!("write {path:?}: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
 }
 
 fn main() -> ExitCode {

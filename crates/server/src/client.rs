@@ -20,7 +20,9 @@ pub enum ClientError {
     Wire(WireError),
     /// The server answered `ERR` with this message.
     Remote(String),
-    /// The server answered `BUSY` (connection limit reached).
+    /// The server answered `BUSY`: it is at its connection limit and
+    /// closes this connection right after. Reconnect later; retrying on
+    /// this connection cannot succeed.
     Busy,
     /// The server answered with a response that does not fit the request
     /// (e.g. `PONG` to a `PUT`).
@@ -136,7 +138,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError`]; [`ClientError::Busy`] is retryable.
+    /// [`ClientError`]; [`ClientError::Busy`] means the server refused the
+    /// connection at its limit and hung up — reconnect, do not retry here.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), ClientError> {
         self.roundtrip(&Request::Put { key, value }, |resp| match resp {
             Response::Ok => Ok(()),
@@ -229,8 +232,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Busy`] if the server rejected the whole batch
-    /// (retryable); [`ClientError`] otherwise.
+    /// [`ClientError`]; [`ClientError::Busy`] means the server refused the
+    /// connection at its limit and hung up — reconnect, do not retry here.
     ///
     /// # Panics
     ///
@@ -256,9 +259,10 @@ impl Client {
 
     /// Pipelined send: write every request back-to-back without waiting,
     /// then collect exactly one reply per request, in order. Unlike the
-    /// closed-loop helpers this surfaces per-request `BUSY`/`ERR` as
-    /// [`Reply`] values rather than errors, because partial success is
-    /// meaningful under backpressure.
+    /// closed-loop helpers this surfaces a per-request `ERR` as a [`Reply`]
+    /// value rather than an error, because partial success is meaningful.
+    /// A [`Reply::Busy`] is the connection-limit answer: the server closes
+    /// the connection after it, so the client should reconnect.
     ///
     /// Do not include `SHUTDOWN` (the server closes the connection before
     /// answering later requests).
@@ -438,7 +442,8 @@ pub enum Reply {
     NotFound,
     /// `ERR` with its message.
     Err(String),
-    /// `BUSY` — retryable backpressure.
+    /// `BUSY` — the server is at its connection limit and closes the
+    /// connection after this reply; reconnect to retry.
     Busy,
     /// `STATS_BODY` text.
     Stats(String),

@@ -163,8 +163,8 @@ pub enum Response<'a> {
     NotFound,
     /// Protocol or engine error; the message is human-readable.
     Err(&'a str),
-    /// Backpressure: the bounded request queue (or connection limit) is
-    /// saturated; retry later.
+    /// Connection limit reached: the server closes the connection right
+    /// after this frame; the client reconnects later.
     Busy,
     /// `STATS` body: UTF-8 `key=value` lines.
     Stats(&'a str),

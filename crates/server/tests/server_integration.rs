@@ -527,18 +527,8 @@ fn concurrent_multi_writers_share_commit_boundaries() {
                             value: b"grouped",
                         })
                         .collect();
-                    loop {
-                        match c.multi(&reqs) {
-                            Ok(replies) => {
-                                assert!(replies.iter().all(|r| *r == Reply::Ok));
-                                break;
-                            }
-                            Err(ClientError::Busy) => {
-                                std::thread::sleep(Duration::from_micros(100))
-                            }
-                            Err(e) => panic!("multi: {e}"),
-                        }
-                    }
+                    let replies = c.multi(&reqs).unwrap_or_else(|e| panic!("multi: {e}"));
+                    assert!(replies.iter().all(|r| *r == Reply::Ok));
                 }
             })
         })
@@ -566,15 +556,8 @@ fn concurrent_clients_see_consistent_store() {
                 let mut c = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
                 for i in 0..100u64 {
                     let k = key(t * 1_000 + i);
-                    loop {
-                        match c.put(&k, &i.to_le_bytes()) {
-                            Ok(()) => break,
-                            Err(ClientError::Busy) => {
-                                std::thread::sleep(Duration::from_micros(100))
-                            }
-                            Err(e) => panic!("put: {e}"),
-                        }
-                    }
+                    c.put(&k, &i.to_le_bytes())
+                        .unwrap_or_else(|e| panic!("put: {e}"));
                 }
             })
         })

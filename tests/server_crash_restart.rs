@@ -20,8 +20,8 @@ use std::time::Duration;
 use spp::pm::{CrashImage, CrashSpec, PmPool, PoolConfig};
 use spp::pmdk::ObjPool;
 use spp::server::{
-    fresh_server_pool, Client, ClientError, KvEngine, PolicyKind, Reply, Request, Server,
-    ServerConfig, WriteOp, WriteReply,
+    fresh_server_pool, Client, KvEngine, PolicyKind, Reply, Request, Server, ServerConfig, WriteOp,
+    WriteReply,
 };
 
 const CLIENTS: u32 = 2;
@@ -118,7 +118,6 @@ fn crash_under_load(kind: PolicyKind, target: u64) -> Captured {
                     }
                     match c.put(&key_of(cid, seq), &value_of(cid, seq)) {
                         Ok(()) => acked.lock().unwrap().push((cid, seq)),
-                        Err(ClientError::Busy) => continue,
                         // Acceptable only while the rig winds down.
                         Err(_) if stop.load(Ordering::SeqCst) => break,
                         Err(e) => panic!("client {cid}: PUT failed mid-load: {e}"),
@@ -228,9 +227,6 @@ fn crash_under_batched_load(kind: PolicyKind, target: u64) -> Captured {
                                 g.push((cid, b * BATCH + i));
                             }
                         }
-                        // The whole batch was rejected under backpressure;
-                        // nothing of it was acked, skip it.
-                        Err(ClientError::Busy) => continue,
                         Err(_) if stop.load(Ordering::SeqCst) => break,
                         Err(e) => panic!("client {cid}: MULTI failed mid-load: {e}"),
                     }

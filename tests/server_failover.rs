@@ -41,8 +41,8 @@ use std::time::Duration;
 use spp::pm::{CrashImage, CrashSpec, PmPool, PoolConfig};
 use spp::pmdk::ObjPool;
 use spp::server::{
-    fresh_server_pool, Client, ClientError, KvEngine, PolicyKind, ReplAckMode, ReplConfig, Ring,
-    Server, ServerConfig,
+    fresh_server_pool, Client, KvEngine, PolicyKind, ReplAckMode, ReplConfig, Ring, Server,
+    ServerConfig,
 };
 
 /// Shards per server. Two is the smallest count where routing, per-shard
@@ -123,7 +123,6 @@ fn drive_load(
                     }
                     match c.put(&key_of(cid, seq), &value_of(cid, seq)) {
                         Ok(()) => acked.lock().unwrap().push((cid, seq)),
-                        Err(ClientError::Busy) => continue,
                         // Acceptable only while the rig winds down.
                         Err(_) if stop.load(Ordering::SeqCst) => break,
                         Err(e) => panic!("client {cid}: PUT failed mid-load: {e}"),
